@@ -1045,8 +1045,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the uncompiled reference propagation path")
     q.add_argument(
         "--backend", default=None,
-        help="kernel GEMM backend (numpy/threaded; default: "
-             "REPRO_KERNEL_BACKEND or numpy)",
+        help="kernel backend (native/numpy/threaded; default: "
+             "REPRO_KERNEL_BACKEND, else native when it builds, else numpy)",
     )
     q.add_argument(
         "--huge-gates", type=int, default=100_000,
@@ -1281,8 +1281,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend", default=None,
-        help="kernel GEMM backend (numpy/threaded; default: "
-             "REPRO_KERNEL_BACKEND or numpy)",
+        help="kernel backend (native/numpy/threaded; default: "
+             "REPRO_KERNEL_BACKEND, else native when it builds, else numpy)",
     )
     p.add_argument("--verbose", action="store_true",
                    help="log one line per request (http.server access log)")

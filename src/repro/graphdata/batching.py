@@ -32,6 +32,7 @@ __all__ = [
     "CompiledGroup",
     "CompiledSchedule",
     "PassBlock",
+    "NativePlan",
     "PASS_INPUT",
     "FRONTIER",
     "Window",
@@ -380,6 +381,38 @@ class PassBlock:
         return int(self.edge_offsets[-1])
 
 
+@dataclass
+class NativePlan:
+    """Target-sorted CSR arrays the native pass kernel reads.
+
+    Position ``p`` of the pass (the block layout's written-node axis)
+    writes row ``dst[p]`` from the edges ``starts[p]:starts[p + 1]``;
+    level group ``k`` holds the positions ``groups[k]:groups[k + 1]``.
+    Edges are sorted by target; ``src`` holds their source rows and
+    ``edge_attr`` their attributes (``None`` without edge attributes).
+    ``in_order`` says every source row is the pass input or written by
+    an earlier group, as in level schedules: a node-by-node walk then
+    reads what the group-level gather reads.  An undirected (GCN)
+    schedule, whose single group reads its own nodes, is not in order.
+
+    A schedule's own plan indexes global node ids.  A window's plan
+    (:meth:`Window.native`) indexes a window-local row space instead:
+    local row ``i`` holds global node ``rows[i]``; ``ext`` are the local
+    rows of the window's ``ext_rows`` (in that order) and ``inputs`` the
+    local rows read from the pass input.
+    """
+
+    groups: np.ndarray
+    starts: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    edge_attr: Optional[np.ndarray]
+    in_order: bool = True
+    rows: Optional[np.ndarray] = None
+    ext: Optional[np.ndarray] = None
+    inputs: Optional[np.ndarray] = None
+
+
 class CompiledSchedule:
     """A :class:`LevelSchedule` compiled against a batch's features.
 
@@ -405,6 +438,7 @@ class CompiledSchedule:
         #: all node ids written during the pass (unique by construction)
         self.written = written
         self._block: Optional[PassBlock] = None
+        self._native: Optional[NativePlan] = None
 
     def __iter__(self):
         return iter(self.groups)
@@ -449,6 +483,38 @@ class CompiledSchedule:
                 edge_attr=edge_attr,
             )
         return self._block
+
+    def native(self) -> NativePlan:
+        """The :class:`NativePlan` over global node ids, built once with
+        one stable sort of the block layout's edges by target position."""
+        if self._native is None:
+            block = self.block()
+            groups = self.groups
+            n_w = block.num_written
+            if groups:
+                src = np.concatenate([g.src for g in groups])
+                seg = np.concatenate([g.seg for g in groups])
+            else:
+                src = seg = np.zeros(0, np.int64)
+            group_start = np.repeat(
+                block.node_offsets[:-1], np.diff(block.edge_offsets)
+            )
+            target = group_start + seg
+            order = np.argsort(target, kind="stable")
+            starts = np.zeros(n_w + 1, np.int64)
+            np.cumsum(np.bincount(target, minlength=n_w), out=starts[1:])
+            position = np.full(self.num_nodes, -1, np.int64)
+            position[self.written] = np.arange(n_w)
+            attr = block.edge_attr
+            self._native = NativePlan(
+                groups=block.node_offsets,
+                starts=starts,
+                src=np.ascontiguousarray(src[order], dtype=np.int64),
+                dst=np.ascontiguousarray(self.written, dtype=np.int64),
+                edge_attr=None if attr is None else attr[order],
+                in_order=bool((position[src] < group_start).all()),
+            )
+        return self._native
 
     @classmethod
     def compile(
@@ -539,10 +605,36 @@ class Window:
     ext_rows: np.ndarray
     written_start: int
     written_stop: int
+    _native: Optional[NativePlan] = field(default=None, init=False, repr=False)
 
     @property
     def num_written(self) -> int:
         return self.written_stop - self.written_start
+
+    def native(self) -> NativePlan:
+        """The window's :class:`NativePlan` over window-local rows: every
+        row the window reads or writes, sorted by global id, so a pass
+        over it needs only this window's rows resident."""
+        if self._native is None:
+            plan = self.compiled.native()
+            rows = np.unique(np.concatenate([plan.src, plan.dst]))
+            dst = np.searchsorted(rows, plan.dst)
+            ext = np.searchsorted(rows, self.ext_rows)
+            from_input = np.ones(len(rows), bool)
+            from_input[dst] = False
+            from_input[ext] = False
+            self._native = NativePlan(
+                groups=plan.groups,
+                starts=plan.starts,
+                src=np.searchsorted(rows, plan.src),
+                dst=dst,
+                edge_attr=plan.edge_attr,
+                in_order=plan.in_order,
+                rows=rows,
+                ext=ext,
+                inputs=np.flatnonzero(from_input),
+            )
+        return self._native
 
 
 class WindowedSchedule:

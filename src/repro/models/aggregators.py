@@ -90,7 +90,14 @@ class PassStepAggregator(Module):
     ``step_end``      fold the sink into the parameter tensors, and add
                       any batched contribution to ``dh`` (the pass-input
                       state gradient; ``None`` when not needed)
+
+    A design with ``native_pass = True`` (attention) may instead have
+    whole block-layout passes run by the backend's native kernel, which
+    fills the same block sinks for ``step_end``.
     """
+
+    #: whether the native whole-pass kernel implements this design
+    native_pass = False
 
     def step_begin(self, hd: np.ndarray) -> Optional[np.ndarray]:
         return None
@@ -622,6 +629,16 @@ class AttentionAggregator(PassStepAggregator):
         if edge_attr is not None:
             sink["attr_used"] = True
         return dh
+
+    # -- native whole-pass kernel (see repro.nn.native) ----------------
+    native_pass = True
+
+    def native_weights(self, use_edge_attr: bool):
+        """``(w_key, w_edge)`` as the flat vectors the kernel reads
+        (``w_edge`` is ``None`` when edge attributes are off)."""
+        wk = self.w_key.weight.data.reshape(-1)
+        we = self.w_edge.weight.data.reshape(-1) if use_edge_attr else None
+        return wk, we
 
     def step_end(self, hd, sink, dh):
         wq = self.w_query.weight

@@ -45,7 +45,12 @@ The layout is a per-process choice: ``REPRO_PASS_LAYOUT`` in the
 environment, :func:`set_pass_layout` from code, or the
 :func:`use_pass_layout` context manager in tests.  Every GEMM on either
 layout runs through the pluggable backend seam
-(:mod:`repro.nn.backends`).
+(:mod:`repro.nn.backends`).  When the backend supplies a whole-pass
+kernel (``native``), block-layout passes of an aggregator it implements
+(attention) skip the per-group hooks: the forward and the reverse walk
+are one kernel call each over the schedule's
+:class:`~repro.graphdata.batching.NativePlan`, filling the same block
+sinks, so the pass-wide GEMMs and parameter contractions are shared.
 
 A note on *batch interleaving*: level groups are keyed by level value,
 so when a batch merges several circuits (``graphdata.merge`` /
@@ -78,11 +83,13 @@ from ..graphdata.batching import (
     PASS_INPUT,
     CompiledGroup,
     CompiledSchedule,
+    NativePlan,
     PassBlock,
     Window,
     WindowedSchedule,
 )
 from ..nn import kernels
+from ..nn.backends import get_backend
 from ..nn.backends import matmul as _mm
 from ..nn.kernels import segment_present_sum
 from ..nn.tensor import Tensor, is_grad_enabled
@@ -590,6 +597,74 @@ class AggregateCombineStep:
         _acc(c.w_ih, dw_ih)
         _acc(c.b_ih, dgi_all.sum(axis=0))
 
+    # -- native whole-pass kernel (block layout) ------------------------
+
+    def native_kernel(self):
+        """The active backend's whole-pass kernel when this step's
+        aggregator can run on it, else ``None`` (numpy hooks)."""
+        if not getattr(self.aggregate, "native_pass", False):
+            return None
+        return get_backend().pass_kernel()
+
+    def _native_weights(self, plan: NativePlan):
+        use_attr = self.use_edge_attr and plan.edge_attr is not None
+        return self.aggregate.native_weights(use_attr)
+
+    def forward_native(
+        self,
+        kernel,
+        plan: NativePlan,
+        work: np.ndarray,
+        query: np.ndarray,
+        gh_rows: np.ndarray,
+        query_scores: np.ndarray,
+        gi_static: Optional[np.ndarray],
+        record: bool,
+    ) -> tuple:
+        """Every written node of ``plan`` in one kernel call; new rows land
+        in ``work``.  Returns the state :meth:`backward_native` reads."""
+        d = query.shape[1]
+        wk, we = self._native_weights(plan)
+        n_w = len(plan.dst)
+        alpha = np.empty(len(plan.src), np.float32)
+        m = np.empty((n_w, d), np.float32) if record else None
+        gates = np.empty((n_w, 3 * d), np.float32) if record else None
+        c = self.combine
+        kernel.forward(
+            plan, work, query_scores, wk, query, gh_rows, gi_static,
+            c.b_ih.data, c.w_ih.data[:d], alpha, we=we, m=m, gates=gates,
+        )
+        return alpha, m, gates
+
+    def backward_native(
+        self,
+        kernel,
+        plan: NativePlan,
+        work: np.ndarray,
+        gwork: np.ndarray,
+        query: np.ndarray,
+        gh_rows: np.ndarray,
+        saved: tuple,
+        gru_sink: Sink,
+        agg_sink: Sink,
+    ) -> None:
+        """The reverse walk in one kernel call: fills the block sinks of
+        :meth:`begin_backward` and adds every source gradient to the
+        ``gwork`` row of the same index."""
+        alpha, m, gates = saved
+        d = query.shape[1]
+        wk, we = self._native_weights(plan)
+        w_ih_t = np.ascontiguousarray(self.combine.w_ih.data[:d].T)
+        kernel.backward(
+            plan, work, gwork, wk, query, gh_rows, w_ih_t, alpha, gates,
+            gru_sink["dgi"], gru_sink["dgh"], gru_sink["dq"],
+            agg_sink["ds"], agg_sink["h"], agg_sink["dqs_w"],
+        )
+        gru_sink["m"] = m
+        # the kernel's per-edge sinks follow the plan's target-sorted order
+        agg_sink["attr"] = plan.edge_attr
+        agg_sink["attr_used"] = we is not None
+
     # -- windowed (streaming) per_group variants -----------------------
 
     def backward_windowed(
@@ -703,6 +778,9 @@ def run_pass(
     if not schedule.groups:
         return h
     block = schedule.block() if layout == "block" else None
+    kernel = step.native_kernel() if block is not None else None
+    if kernel is not None and not schedule.native().in_order:
+        kernel = None
     hd = h.data
     params = step.params()
     record = is_grad_enabled() and (
@@ -717,6 +795,13 @@ def run_pass(
         # pre-activations; groups then take contiguous views
         q_all = hd[schedule.written]
         gh_w = gh_full[schedule.written]
+    if kernel is not None:
+        plan = schedule.native()
+        saved_native = step.forward_native(
+            kernel, plan, work, q_all, gh_w, agg_ctx[schedule.written],
+            gi_static, record,
+        )
+    elif block is not None:
         for group in schedule.groups:
             o0 = group.node_offset
             o1 = o0 + len(group.nodes)
@@ -752,6 +837,11 @@ def run_pass(
         group_backward = (
             step.backward_block if block is not None else step.backward
         )
+        if kernel is not None:
+            step.backward_native(
+                kernel, plan, work, gwork, q_all, gh_w, saved_native,
+                gru_sink, agg_sink,
+            )
         for group, saved in zip(reversed(groups), reversed(saved_all)):
             g_out = gwork[group.nodes]
             if block is not None:
@@ -879,7 +969,8 @@ def _run_pass_windowed(
     Outputs are bitwise identical to the full runner for every window
     budget: the pass-wide affine pre-projections go through the
     fixed-extent chunk convention (:data:`GEMM_CHUNK_ROWS`), and all
-    remaining forward arithmetic is per-group in both runners.
+    remaining forward arithmetic is per-group in both runners (per-node
+    on the native kernel, which both runners call over the same rows).
     Parameter/hidden-state gradients contract per window (window-sized
     GEMM extents), so they match the full pass to float32 round-off
     rather than bitwise; the equivalence suite pins both properties.
@@ -887,6 +978,11 @@ def _run_pass_windowed(
     if not wsched.windows:
         return h
     use_block = layout == "block"
+    kernel = step.native_kernel() if use_block else None
+    if kernel is not None and not all(
+        w.native().in_order for w in wsched.windows
+    ):
+        kernel = None
     hd = h.data
     params = step.params()
     record = is_grad_enabled() and (
@@ -929,13 +1025,23 @@ def _run_pass_windowed(
             frontier_rows += len(win.ext_rows)
             frontier_bytes += chunk.nbytes
         gh_w = gh.rows(ws.written)
-        if use_block:
-            q_w = hd[ws.written]
-            gi_w = (
-                gi.row_range(win.written_start, win.written_stop)
-                if gi is not None
-                else None
+        gi_w = (
+            gi.row_range(win.written_start, win.written_stop)
+            if gi is not None
+            else None
+        )
+        if kernel is not None:
+            # the window's rows in its local row space: frontier rows are
+            # final in work already, and pass-input rows unchanged
+            plan = win.native()
+            loc = work[plan.rows]
+            step.forward_native(
+                kernel, plan, loc, hd[ws.written], gh_w,
+                agg_ctx[ws.written], gi_w, record=False,
             )
+            work[ws.written] = loc[plan.dst]
+        elif use_block:
+            q_w = hd[ws.written]
             for group in ws.groups:
                 o0 = group.node_offset
                 o1 = o0 + len(group.nodes)
@@ -981,15 +1087,39 @@ def _run_pass_windowed(
                 else None
             )
             gh_w = gh_b.rows(ws.written)
+            gi_w = (
+                gi_b.row_range(win.written_start, win.written_stop)
+                if gi_b is not None
+                else None
+            )
             q_w = hd[ws.written]
             wouts: List[np.ndarray] = []
             saveds: List[tuple] = []
-            if use_block:
-                gi_w = (
-                    gi_b.row_range(win.written_start, win.written_stop)
-                    if gi_b is not None
-                    else None
+            if kernel is not None:
+                # recompute the window's forward over its local rows, then
+                # walk it back; source grads land in the local gloc rows
+                # and go out to the frontier (gwork) or pass input (dh)
+                plan = win.native()
+                loc = hd[plan.rows]
+                if ext_vals is not None:
+                    loc[plan.ext] = ext_vals
+                saved = step.forward_native(
+                    kernel, plan, loc, q_w, gh_w, agg_ctx[ws.written], gi_w,
+                    record=True,
                 )
+                wblock = ws.block()
+                gru_sink, agg_sink_w = step.begin_backward(hd, wblock)
+                gloc = np.zeros_like(loc)
+                gloc[plan.dst] = gwork[ws.written]
+                step.backward_native(
+                    kernel, plan, loc, gloc, q_w, gh_w, saved,
+                    gru_sink, agg_sink_w,
+                )
+                gwork[win.ext_rows] += gloc[plan.ext]
+                if need_dh:
+                    dh[plan.rows[plan.inputs]] += gloc[plan.inputs]
+                step.end_backward(hd, gru_sink, agg_sink_w, dh, wblock)
+            elif use_block:
                 for group in ws.groups:
                     o0 = group.node_offset
                     o1 = o0 + len(group.nodes)

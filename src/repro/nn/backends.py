@@ -1,14 +1,20 @@
-"""Pluggable GEMM backends: the kernel layer's matmul seam.
+"""Pluggable kernel backends: the kernel layer's matmul and pass seam.
 
 Every matrix multiply in the compiled fast path — the closed-form kernels
 of :mod:`repro.nn.kernels`, the whole-pass runner's batched input
 transforms, and the fused regressor epilogue — goes through
-:func:`matmul` instead of calling ``np.matmul`` directly.  Which backend
-actually runs the product is a per-process choice:
+:func:`matmul` instead of calling ``np.matmul`` directly.  A backend may
+also supply a whole-pass kernel (:meth:`KernelBackend.pass_kernel`),
+which the propagation runner uses in place of its per-group numpy hooks.
+Which backend runs is a per-process choice:
 
-* ``numpy`` (the default) — plain ``np.matmul``.  This is the canonical
-  reference implementation: byte-deterministic run to run, and the
-  oracle every other backend must match.
+* ``native`` (the default whenever its library loads) — ``np.matmul``
+  for GEMMs, plus the C whole-pass attention kernel of
+  :mod:`repro.nn.native`, built with ``gcc`` on first use.  When it
+  cannot be built or loaded the default falls back to ``numpy``.
+* ``numpy`` — plain ``np.matmul`` and the numpy pass hooks.  This is
+  the canonical reference implementation: byte-deterministic run to
+  run, and the oracle every other backend must match.
 * ``threaded`` — splits tall 2-D products row-wise across a small thread
   pool.  numpy releases the GIL inside BLAS, so chunks genuinely overlap;
   small products (below ``min_rows``) fall through to ``np.matmul``
@@ -17,8 +23,8 @@ actually runs the product is a per-process choice:
 
 Selection:
 
-* environment — ``REPRO_KERNEL_BACKEND=threaded`` before the process
-  starts (read lazily on first use);
+* environment — ``REPRO_KERNEL_BACKEND=numpy`` (or any registered
+  name) before the process starts (read lazily on first use);
 * code/CLI — :func:`set_backend` (``repro bench run --backend`` /
   ``repro serve --backend`` call it during startup);
 * tests — the :func:`use_backend` context manager restores the previous
@@ -41,6 +47,7 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "KernelBackend",
     "KernelBackendError",
+    "NativeBackend",
     "NumpyBackend",
     "ThreadedBackend",
     "available_backends",
@@ -72,6 +79,25 @@ class KernelBackend:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def pass_kernel(self):
+        """A whole-pass kernel (see :class:`repro.nn.native.PassKernel`),
+        or ``None`` to run passes on the numpy hooks."""
+        return None
+
+
+class NativeBackend(KernelBackend):
+    """``np.matmul`` plus the native whole-pass attention kernel."""
+
+    name = "native"
+    matmul = staticmethod(np.matmul)
+
+    def pass_kernel(self):
+        # imported on first use, which keeps ctypes and the build
+        # machinery out of every process's start-up
+        from . import native
+
+        return native.library()
 
 
 class NumpyBackend(KernelBackend):
@@ -148,6 +174,7 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
     return backend
 
 
+register_backend(NativeBackend())
 register_backend(NumpyBackend())
 register_backend(ThreadedBackend())
 
@@ -168,17 +195,22 @@ def _lookup(name: str, source: str) -> KernelBackend:
 
 
 def get_backend() -> KernelBackend:
-    """The process's active backend, resolving the env var on first use."""
+    """The process's active backend, resolving it on first use: the env
+    var if set, else ``native`` when its library loads, else ``numpy``."""
     global _active
     if _active is None:
         with _resolve_lock:
             if _active is None:
                 name = os.environ.get(BACKEND_ENV_VAR, "").strip()
-                _active = (
-                    _lookup(name, f"${BACKEND_ENV_VAR}")
-                    if name
-                    else _REGISTRY["numpy"]
-                )
+                if name:
+                    _active = _lookup(name, f"${BACKEND_ENV_VAR}")
+                else:
+                    native = _REGISTRY["native"]
+                    _active = (
+                        native
+                        if native.pass_kernel() is not None
+                        else _REGISTRY["numpy"]
+                    )
     return _active
 
 

@@ -41,10 +41,18 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 #: window is usually enough for the queue to drain below the bound
 RETRY_AFTER_S = 1
 
+#: socket timeout per handler: a client that stalls mid-request (or an
+#: idle keep-alive connection) releases its handler thread after this
+CLIENT_TIMEOUT_S = 60.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+
+    @property
+    def timeout(self) -> float:  # read by StreamRequestHandler.setup
+        return CLIENT_TIMEOUT_S
 
     @property
     def service(self) -> InferenceService:
@@ -67,8 +75,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
+        # status line, headers and body leave in ONE write: a separate
+        # body write sits behind Nagle's algorithm until the client's
+        # delayed ACK (~40 ms) on back-to-back keep-alive requests
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _send_error_reply(
         self,

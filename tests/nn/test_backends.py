@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import backends
+from repro.nn import backends, native
 from repro.nn.backends import (
     BACKEND_ENV_VAR,
     KernelBackend,
@@ -28,12 +28,22 @@ def _restore_backend():
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        assert "numpy" in names and "threaded" in names
+        assert {"native", "numpy", "threaded"} <= set(names)
 
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_native_when_it_loads_else_numpy(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         backends._active = None
+        expected = "native" if native.library() is not None else "numpy"
+        assert get_backend().name == expected
+
+    def test_env_forces_numpy_reference(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        backends._active = None
         assert get_backend().name == "numpy"
+        assert get_backend().pass_kernel() is None
+
+    def test_native_matmul_is_numpy_matmul(self):
+        assert backends._REGISTRY["native"].matmul is np.matmul
 
     def test_env_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "threaded")

@@ -1,12 +1,16 @@
 """HTTP end-to-end: status mapping, stats observability, clean shutdown."""
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro.serve.server as server_mod
 from repro.serve import (
     InferenceService,
     ServeClient,
@@ -210,3 +214,40 @@ class TestShutdown:
 
         with pytest.raises(BatcherClosed):
             service.batcher.submit(_Job(None, None))
+
+
+class TestConnectionHandling:
+    def test_keep_alive_replies_do_not_wait_for_delayed_ack(self, server):
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        # a reply whose body is written apart from its headers waits
+        # ~40 ms for the client's delayed ACK: 20 of them take ~0.8 s
+        assert elapsed < 0.3, f"20 keep-alive round trips took {elapsed:.3f}s"
+
+    def test_stalled_client_is_disconnected(self, server, monkeypatch):
+        assert server_mod.CLIENT_TIMEOUT_S >= 30
+        monkeypatch.setattr(server_mod, "CLIENT_TIMEOUT_S", 0.3)
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 100\r\n\r\n{\"type\""
+            )
+            start = time.monotonic()
+            data = sock.recv(4096)
+            waited = time.monotonic() - start
+        # the handler gave up on the missing body and closed the socket
+        assert data == b""
+        assert waited < 5
