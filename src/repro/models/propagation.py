@@ -779,7 +779,8 @@ def run_pass(
         return h
     block = schedule.block() if layout == "block" else None
     kernel = step.native_kernel() if block is not None else None
-    if kernel is not None and not schedule.native().in_order:
+    plan = schedule.native() if kernel is not None else None
+    if plan is not None and not plan.in_order:
         kernel = None
     hd = h.data
     params = step.params()
@@ -796,7 +797,6 @@ def run_pass(
         q_all = hd[schedule.written]
         gh_w = gh_full[schedule.written]
     if kernel is not None:
-        plan = schedule.native()
         saved_native = step.forward_native(
             kernel, plan, work, q_all, gh_w, agg_ctx[schedule.written],
             gi_static, record,

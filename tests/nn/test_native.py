@@ -227,8 +227,13 @@ class TestArgumentChecks:
     def test_valid_call_runs(self, kernel):
         batch = make_batch()
         args = self._args(batch, make_model(skip=False))
+        args["q"][:] = 1.0
         kernel.forward(**args)
-        # zero weights: uniform attention, message 0, gates 0.5 -> rows 0
+        # zero weights and state: r = z = 0.5 and n = 0, so each written
+        # row becomes z * h = 0.5 and every other row stays 0
+        written = args["plan"].dst
+        assert (args["work"][written] == 0.5).all()
+        args["work"][written] = 0.0
         assert not args["work"].any()
 
     def test_wrong_dtype_is_named_error(self, kernel):
