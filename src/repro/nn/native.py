@@ -174,8 +174,10 @@ def library() -> Optional["PassKernel"]:
             if not _resolved:
                 try:
                     _kernel = _load()
-                except (OSError, subprocess.SubprocessError,
-                        NativeBuildError) as exc:
+                except Exception as exc:  # noqa: BLE001
+                    # any failure (no compiler, a failed build, an unusable
+                    # cache directory, a library that will not load) falls
+                    # back to the numpy hooks
                     _error = f"{type(exc).__name__}: {exc}"
                     log.warning(
                         "native pass kernel unavailable, using numpy: %s",

@@ -299,6 +299,14 @@ class TestBuildAndFallback:
                 actual = model(batch).data
         assert actual.tobytes() == expected.tobytes()
 
+    def test_unusable_cache_dir_falls_back(self, fresh, monkeypatch, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setattr(native, "cache_dir", lambda: blocker / "native")
+        assert get_backend().name == "numpy"
+        assert native.library() is None
+        assert native.load_error()
+
     def test_concurrent_builds_leave_one_valid_entry(self, tmp_path):
         if native._compiler() is None:
             pytest.skip("no C compiler")
